@@ -10,8 +10,10 @@ set yields the paper's *fast recovery rate*.
 from repro.recovery.evaluator import (
     ActivationOrder,
     ConnectionOutcome,
+    OutcomeTally,
     RecoveryEvaluator,
     ScenarioResult,
+    StaleEvaluatorError,
 )
 from repro.recovery.grouping import (
     by_backup_count,
@@ -24,6 +26,8 @@ from repro.recovery.metrics import RecoveryStats
 __all__ = [
     "RecoveryEvaluator",
     "ScenarioResult",
+    "OutcomeTally",
+    "StaleEvaluatorError",
     "ConnectionOutcome",
     "ActivationOrder",
     "RecoveryStats",

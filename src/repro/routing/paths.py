@@ -99,10 +99,7 @@ class Path:
 
     def intersects(self, components: frozenset | set) -> bool:
         """Whether any of ``components`` lies on this path."""
-        # Iterate the smaller set for speed; failure sets are tiny.
-        if len(components) <= len(self.components):
-            return any(item in self.components for item in components)
-        return any(item in components for item in self.components)
+        return not self.components.isdisjoint(components)
 
     # ------------------------------------------------------------------
     # validation

@@ -13,8 +13,10 @@ from repro.faults import (
 from repro.recovery import (
     ActivationOrder,
     ConnectionOutcome,
+    OutcomeTally,
     RecoveryEvaluator,
     RecoveryStats,
+    StaleEvaluatorError,
 )
 
 
@@ -91,6 +93,70 @@ class TestScenarioMechanics:
         evaluator = RecoveryEvaluator(loaded_torus4)
         evaluator.evaluate_many(all_single_node_failures(loaded_torus4.topology))
         assert loaded_torus4.ledger.snapshot_spares() == spares_before
+
+
+class TestStaleEvaluator:
+    def test_evaluate_after_establishment_raises(self, torus4):
+        first = torus4.establish(
+            0, 5, ft_qos=FaultToleranceQoS(num_backups=1, mux_degree=1)
+        )
+        evaluator = RecoveryEvaluator(torus4)
+        scenario = FailureScenario.of_links([first.primary.path.links[0]])
+        evaluator.evaluate(scenario)
+        torus4.establish(0, 5, ft_qos=FaultToleranceQoS(num_backups=1))
+        assert evaluator.is_stale
+        with pytest.raises(StaleEvaluatorError, match="fresh RecoveryEvaluator"):
+            evaluator.evaluate(scenario)
+        # A fresh evaluator sees the second connection contend too.
+        result = RecoveryEvaluator(torus4).evaluate(scenario)
+        assert result.failed_primaries == 2
+
+    def test_evaluate_after_teardown_and_switchover_raises(self, loaded_torus4):
+        scenarios = all_single_node_failures(loaded_torus4.topology)
+        evaluator = RecoveryEvaluator(loaded_torus4)
+        evaluator.evaluate_many(scenarios)
+        loaded_torus4.teardown(loaded_torus4.connections()[0])
+        with pytest.raises(StaleEvaluatorError):
+            evaluator.evaluate_many(scenarios)
+        evaluator = RecoveryEvaluator(loaded_torus4)
+        loaded_torus4.switch_to_backup(loaded_torus4.connections()[0])
+        with pytest.raises(StaleEvaluatorError):
+            evaluator.evaluate(scenarios[0])
+
+
+class TestOutcomeTally:
+    def test_tally_matches_per_outcome_counts(self, loaded_torus4):
+        evaluator = RecoveryEvaluator(loaded_torus4, spare_override=1.0)
+        for scenario in all_single_node_failures(loaded_torus4.topology):
+            result = evaluator.evaluate(scenario)
+            assert result.tally == OutcomeTally(
+                result.count(ConnectionOutcome.FAST_RECOVERED),
+                result.count(ConnectionOutcome.MUX_FAILURE),
+                result.count(ConnectionOutcome.CHANNELS_LOST),
+                result.count(ConnectionOutcome.EXCLUDED),
+            )
+            assert result.failed_primaries == result.tally.failed_primaries
+
+    def test_evaluate_many_matches_per_outcome_counts(self, loaded_torus4):
+        # The stats evaluate_many folds from one tally per scenario equal,
+        # float accumulators included, those built from count() passes.
+        scenarios = all_single_node_failures(loaded_torus4.topology)
+        stats = RecoveryEvaluator(
+            loaded_torus4, spare_override=1.0
+        ).evaluate_many(scenarios)
+        expected = RecoveryStats()
+        evaluator = RecoveryEvaluator(loaded_torus4, spare_override=1.0)
+        for scenario in scenarios:
+            result = evaluator.evaluate(scenario)
+            expected.add_scenario(
+                result.failed_primaries,
+                result.count(ConnectionOutcome.FAST_RECOVERED),
+                result.count(ConnectionOutcome.MUX_FAILURE),
+                result.count(ConnectionOutcome.CHANNELS_LOST),
+                result.count(ConnectionOutcome.EXCLUDED),
+            )
+        assert stats == expected
+        assert stats.mux_failures > 0 and stats.excluded_connections > 0
 
 
 class TestMultiplexingFailures:

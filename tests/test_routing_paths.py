@@ -71,6 +71,22 @@ class TestComponents:
         big = frozenset(range(100, 200)) | {1}
         assert path.intersects(big)
 
+    @pytest.mark.parametrize("kind", [set, frozenset])
+    def test_intersects_either_size_order(self, kind):
+        # Five components on the path; failure sets smaller and larger
+        # than that, hitting and missing, as set and frozenset.
+        path = Path([1, 2, 3])
+        small_hit = kind({LinkId(2, 3)})
+        small_miss = kind({LinkId(3, 2)})
+        large_hit = kind(range(100, 110)) | kind({3})
+        large_miss = kind(range(100, 110)) | kind({LinkId(2, 1)})
+        assert len(small_hit) < len(path.components) < len(large_hit)
+        assert path.intersects(small_hit)
+        assert not path.intersects(small_miss)
+        assert path.intersects(large_hit)
+        assert not path.intersects(large_miss)
+        assert not path.intersects(kind())
+
 
 class TestSharedComponentCount:
     def test_disjoint_paths_share_nothing_interior(self):
